@@ -232,12 +232,19 @@ fn evaluate(
 }
 
 /// The artifact-store key for the evaluation: everything that determines
-/// its numbers — weights, every seed, the scale, the budget, and the
-/// thread counts cross-checked.
-fn eval_key(scale: &ExperimentScale, budget: &BugBudget, weights_hash: &str) -> u64 {
+/// its numbers — weights, every seed, the scale, the budget, the thread
+/// counts cross-checked, and the explain algorithm's version (callers pass
+/// [`veribug::explain::ALGORITHM_VERSION`]), so a changed explainer
+/// recomputes instead of replaying stale ranks.
+fn eval_key(
+    scale: &ExperimentScale,
+    budget: &BugBudget,
+    weights_hash: &str,
+    explain_version: u32,
+) -> u64 {
     store::hash::fnv1a(
         format!(
-            "accuracy-eval v1\nweights {weights_hash}\n\
+            "accuracy-eval v1\nweights {weights_hash}\nexplain {explain_version}\n\
              seeds {TRAIN_SEED} {CAMPAIGN_SEED} {RVDG_SEED}\n\
              scale {} {} {} {} {} {}\nbudget {} {} {}\nthreads {THREADS_CHECKED:?}\n",
             scale.train_designs,
@@ -446,7 +453,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // With a store, the whole evaluation (campaigns included) is keyed by
     // its seed manifest: a hit replays the bit-exact numbers of the run
     // that produced it and renders the same JSON bytes.
-    let key = eval_key(&scale, &budget, &weights_hash);
+    let key = eval_key(
+        &scale,
+        &budget,
+        &weights_hash,
+        veribug::explain::ALGORITHM_VERSION,
+    );
     let cached = artifact_store.as_ref().and_then(|s| {
         s.get(store::ArtifactKind::Campaign, key)
             .and_then(|bytes| String::from_utf8(bytes).ok())
@@ -701,4 +713,38 @@ fn render_json(input: &RenderInput<'_>) -> String {
     );
     out.push_str("}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stored evaluation from an older explain algorithm must miss, so a
+    /// changed explainer never replays stale ranks.
+    #[test]
+    fn explain_version_change_misses_the_store() {
+        let root =
+            std::env::temp_dir().join(format!("veribug-accuracy-eval-key-{}", std::process::id()));
+        let s = store::Store::open(&root, u64::MAX).expect("store opens");
+        let scale = ExperimentScale::quick();
+        let budget = BugBudget {
+            negation: 1,
+            operation: 1,
+            misuse: 1,
+        };
+        let version = veribug::explain::ALGORITHM_VERSION;
+        let key = |v| eval_key(&scale, &budget, "weights", v);
+        s.put(
+            store::ArtifactKind::Campaign,
+            key(version - 1),
+            b"old ranks",
+        )
+        .expect("store writes");
+        assert!(s.get(store::ArtifactKind::Campaign, key(version)).is_none());
+        assert_eq!(
+            s.get(store::ArtifactKind::Campaign, key(version - 1)),
+            Some(b"old ranks".to_vec())
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

@@ -3,7 +3,9 @@
 //! design in `crates/designs` and a large RVDG-generated corpus, at every
 //! supported thread count. The 64-lane batch engine is held to the same
 //! oracle: traces extracted from any lane of any batch shape must equal the
-//! scalar compiled engine's output bit-for-bit.
+//! scalar compiled engine's output bit-for-bit. The tally-based explainer
+//! is held to the record-walk explainer it replaced (kept here as an
+//! oracle) on catalog campaigns and RVDG designs.
 
 use mutate::{BugBudget, Campaign};
 use rvdg::{Generator, RvdgConfig};
@@ -525,4 +527,474 @@ fn comb_loop_falls_back_and_still_errors() {
     };
     let err = sim.run(&stim).expect_err("oscillating loop must error");
     assert!(matches!(err, sim::SimError::CombinationalLoop { .. }));
+}
+
+/// The record-walk explainer the tally path replaced, kept as the
+/// reference: it visits every execution record, memoizes attention per
+/// (statement, operand values), and builds `F_t`/`C_t` as running f32
+/// means per run merged count-weighted across runs.
+mod walk_oracle {
+    use std::collections::{BTreeMap, HashMap};
+
+    use cdfg::{Cdfg, ConeOfInfluence, Slice, Vdg};
+    use sim::{Trace, TraceLabel};
+    use veribug::explain::{
+        AttentionMap, Explainer, Heatmap, LabelledTrace, StmtAttention, DEFAULT_FAILURE_WINDOW,
+    };
+    use veribug::features::StatementFeatures;
+    use veribug::model::VeriBugModel;
+    use veribug::train::{operand_positions, operand_values};
+    use verilog::{Module, StmtId};
+
+    pub struct Oracle<'m> {
+        model: &'m VeriBugModel,
+        features: BTreeMap<StmtId, StatementFeatures>,
+        slice: Slice,
+        depth: BTreeMap<StmtId, u32>,
+        positions: BTreeMap<StmtId, Vec<Option<usize>>>,
+        cache: HashMap<(StmtId, Vec<bool>), Vec<f32>>,
+    }
+
+    impl<'m> Oracle<'m> {
+        pub fn new(model: &'m VeriBugModel, module: &Module, target: &str) -> Self {
+            let cdfg = Cdfg::build(module);
+            let vdg = Vdg::from_cdfg(module, &cdfg);
+            let slice = Slice::of_target_with(&cdfg, &vdg, target);
+            let coi = ConeOfInfluence::compute(&vdg, target, 16);
+            let mut depth = BTreeMap::new();
+            for node in cdfg.nodes() {
+                if !slice.contains(node.stmt) {
+                    continue;
+                }
+                let signal_depth = if node.lhs == target {
+                    0
+                } else {
+                    coi.min_cycles.get(&node.lhs).copied().unwrap_or(0)
+                };
+                let commit_delay = u32::from(node.kind == verilog::AssignKind::NonBlocking);
+                depth.insert(node.stmt, signal_depth + commit_delay);
+            }
+            let features = StatementFeatures::extract_all(module);
+            let positions = match sim::Netlist::elaborate(module) {
+                Ok(netlist) => features
+                    .iter()
+                    .map(|(id, f)| (*id, operand_positions(f, &netlist)))
+                    .collect(),
+                Err(_) => BTreeMap::new(),
+            };
+            Oracle {
+                model,
+                features,
+                slice,
+                depth,
+                positions,
+                cache: HashMap::new(),
+            }
+        }
+
+        pub fn attention_map_filtered(
+            &mut self,
+            traces: &[&Trace],
+            keep: impl Fn(StmtId, u32) -> bool,
+        ) -> AttentionMap {
+            let mut acc: BTreeMap<StmtId, (Vec<String>, Vec<f32>, usize)> = BTreeMap::new();
+            for trace in traces {
+                for cyc in &trace.cycles {
+                    for exec in &cyc.execs {
+                        if !self.slice.contains(exec.stmt) || !keep(exec.stmt, cyc.cycle) {
+                            continue;
+                        }
+                        let Some(f) = self.features.get(&exec.stmt) else {
+                            continue;
+                        };
+                        let Some(values) = self
+                            .positions
+                            .get(&exec.stmt)
+                            .and_then(|p| operand_values(p, exec))
+                        else {
+                            continue;
+                        };
+                        let model = self.model;
+                        let weights = self
+                            .cache
+                            .entry((exec.stmt, values.clone()))
+                            .or_insert_with(|| model.predict(f, &values).1);
+                        let slot = acc.entry(exec.stmt).or_insert_with(|| {
+                            (
+                                f.operands.iter().map(|o| o.name.clone()).collect(),
+                                vec![0.0; weights.len()],
+                                0,
+                            )
+                        });
+                        for (s, w) in slot.1.iter_mut().zip(weights.iter()) {
+                            *s += w;
+                        }
+                        slot.2 += 1;
+                    }
+                }
+            }
+            AttentionMap {
+                per_stmt: acc
+                    .into_iter()
+                    .map(|(id, (operands, sums, count))| {
+                        let n = count.max(1) as f32;
+                        let weights = sums.into_iter().map(|s| s / n).collect();
+                        let att = StmtAttention {
+                            operands,
+                            weights,
+                            count,
+                        };
+                        (id, att)
+                    })
+                    .collect(),
+            }
+        }
+
+        pub fn explain(
+            &mut self,
+            runs: &[LabelledTrace<'_>],
+            threshold: f32,
+        ) -> (Heatmap, AttentionMap, AttentionMap) {
+            let window = DEFAULT_FAILURE_WINDOW;
+            let failing: Vec<&LabelledTrace<'_>> = runs
+                .iter()
+                .filter(|r| r.label == TraceLabel::Failing)
+                .collect();
+            let correct: Vec<&Trace> = runs
+                .iter()
+                .filter(|r| r.label == TraceLabel::Correct)
+                .map(|r| r.trace)
+                .collect();
+            let depth = self.depth.clone();
+            let delta = move |stmt: StmtId| depth.get(&stmt).copied().unwrap_or(0);
+            let mut f_map = AttentionMap::default();
+            for run in &failing {
+                let cycles = run.failure_cycles.clone();
+                let delta = delta.clone();
+                let partial = self.attention_map_filtered(&[run.trace], move |stmt, c| {
+                    let d = delta(stmt);
+                    cycles.is_empty()
+                        || cycles.iter().any(|&k| {
+                            let hi = k.saturating_sub(d);
+                            c <= hi && hi.saturating_sub(window) <= c
+                        })
+                });
+                merge_maps(&mut f_map, &partial);
+            }
+            let mut c_map = self.attention_map_filtered(&correct, |_, _| true);
+            for run in &failing {
+                if run.failure_cycles.is_empty() {
+                    continue;
+                }
+                let cycles = run.failure_cycles.clone();
+                let delta = delta.clone();
+                let partial = self.attention_map_filtered(&[run.trace], move |stmt, c| {
+                    let d = delta(stmt);
+                    cycles.iter().all(|&k| {
+                        let hi = k.saturating_sub(d);
+                        c + window + 1 < hi.max(1) || hi + 2 < c
+                    })
+                });
+                merge_maps(&mut c_map, &partial);
+            }
+            let heatmap = Explainer::heatmap(&f_map, &c_map, threshold);
+            (heatmap, f_map, c_map)
+        }
+
+        /// The grouped heatmap: interleaved run groups, each explained on
+        /// its own, suspiciousness max-pooled across groups.
+        pub fn grouped(
+            &mut self,
+            runs: &[LabelledTrace<'_>],
+            threshold: f32,
+            groups: usize,
+        ) -> Heatmap {
+            let groups = groups.max(1).min(runs.len().max(1));
+            let mut combined = Heatmap {
+                entries: Default::default(),
+                threshold,
+            };
+            for g in 0..groups {
+                let subset: Vec<LabelledTrace<'_>> =
+                    runs.iter().skip(g).step_by(groups).cloned().collect();
+                if !subset.iter().any(|r| r.label == TraceLabel::Failing) {
+                    continue;
+                }
+                for (stmt, entry) in self.explain(&subset, threshold).0.entries {
+                    match combined.entries.get(&stmt) {
+                        Some(cur) if entry.suspiciousness <= cur.suspiciousness => {}
+                        _ => {
+                            combined.entries.insert(stmt, entry);
+                        }
+                    }
+                }
+            }
+            combined
+        }
+    }
+
+    fn merge_maps(into: &mut AttentionMap, from: &AttentionMap) {
+        for (id, att) in &from.per_stmt {
+            match into.per_stmt.get_mut(id) {
+                None => {
+                    into.per_stmt.insert(*id, att.clone());
+                }
+                Some(cur) => {
+                    let old = cur.count as f32;
+                    let new = att.count as f32;
+                    let total = old + new;
+                    if total == 0.0 {
+                        continue;
+                    }
+                    for (w, nw) in cur.weights.iter_mut().zip(&att.weights) {
+                        *w = (*w * old + nw * new) / total;
+                    }
+                    cur.count += att.count;
+                }
+            }
+        }
+    }
+}
+
+/// Tolerance between the tally path's f64 means and the oracle's f32
+/// running means.
+const EXPLAIN_TOL: f32 = 1e-6;
+
+/// [`EXPLAIN_TOL`], widened for a mean over `count` executions by the
+/// worst-case rounding of the oracle's f32 running sum, `count · 2⁻²⁴`
+/// (weights lie in [0, 1]). Maps over a few hundred executions differ by
+/// up to ≈1.5e-6 for that reason alone.
+fn mean_tol(count: usize) -> f32 {
+    EXPLAIN_TOL.max(count as f32 * f32::EPSILON / 2.0)
+}
+
+fn assert_weights_close(what: &str, a: &[f32], b: &[f32], tol: f32) {
+    assert_eq!(a.len(), b.len(), "{what}: operand count");
+    for (x, y) in a.iter().zip(b) {
+        assert!((x - y).abs() <= tol, "{what}: {a:?} vs {b:?}");
+    }
+}
+
+fn assert_maps_close(what: &str, a: &veribug::AttentionMap, b: &veribug::AttentionMap) {
+    let ids = |m: &veribug::AttentionMap| m.per_stmt.keys().copied().collect::<Vec<_>>();
+    assert_eq!(ids(a), ids(b), "{what}: statement set");
+    for (id, x) in &a.per_stmt {
+        let y = &b.per_stmt[id];
+        assert_eq!(x.operands, y.operands, "{what} {id}");
+        assert_eq!(x.count, y.count, "{what} {id}: count");
+        let tol = mean_tol(x.count);
+        assert_weights_close(&format!("{what} {id}"), &x.weights, &y.weights, tol);
+    }
+}
+
+fn assert_heatmaps_close(what: &str, a: &veribug::Heatmap, b: &veribug::Heatmap) {
+    let ids = |h: &veribug::Heatmap| h.entries.keys().copied().collect::<Vec<_>>();
+    assert_eq!(ids(a), ids(b), "{what}: heatmap statement set");
+    for (id, x) in &a.entries {
+        let y = &b.entries[id];
+        assert_eq!(x.reason, y.reason, "{what} {id}: reason");
+        assert!(
+            (x.suspiciousness - y.suspiciousness).abs() <= EXPLAIN_TOL,
+            "{what} {id}: suspiciousness {} vs {}",
+            x.suspiciousness,
+            y.suspiciousness
+        );
+        let what = format!("{what} {id}");
+        assert_weights_close(&what, &x.weights, &y.weights, EXPLAIN_TOL);
+    }
+    // The ranked order may differ only between statements whose scores
+    // tie within the tolerance.
+    for (i, (x, y)) in a.ranked().iter().zip(b.ranked()).enumerate() {
+        assert!(
+            x.0 == y.0 || (x.1 - y.1).abs() <= EXPLAIN_TOL,
+            "{what}: rank {i} differs: {x:?} vs {y:?}"
+        );
+    }
+}
+
+/// Explains every observable mutant of `mutants` through the tally path
+/// and the record-walk oracle, single-set and grouped. Returns how many
+/// mutants were compared.
+fn explain_matches_oracle(
+    name: &str,
+    model: &VeriBugModel,
+    mutants: &[mutate::Mutant],
+    target: &str,
+) -> usize {
+    let mut compared = 0;
+    for (i, m) in mutants.iter().enumerate().filter(|(_, m)| m.observable) {
+        let what = format!("{name} mutant {i}");
+        let runs = veribug::coverage::labelled_traces(m);
+        let mut ex = veribug::Explainer::new(model, &m.module, target);
+        let mut oracle = walk_oracle::Oracle::new(model, &m.module, target);
+        let (h, f, c) = ex.explain(&runs, veribug::DEFAULT_THRESHOLD);
+        let (oh, of, oc) = oracle.explain(&runs, veribug::DEFAULT_THRESHOLD);
+        assert_maps_close(&format!("{what} F_t"), &f, &of);
+        assert_maps_close(&format!("{what} C_t"), &c, &oc);
+        assert_heatmaps_close(&what, &h, &oh);
+        let grouped = veribug::coverage::grouped_heatmap(
+            &mut ex,
+            &runs,
+            veribug::DEFAULT_THRESHOLD,
+            veribug::coverage::DEFAULT_RUN_GROUPS,
+        );
+        let oracle_grouped = oracle.grouped(
+            &runs,
+            veribug::DEFAULT_THRESHOLD,
+            veribug::coverage::DEFAULT_RUN_GROUPS,
+        );
+        assert_heatmaps_close(&format!("{what} grouped"), &grouped, &oracle_grouped);
+        compared += 1;
+    }
+    compared
+}
+
+/// The tally explainer agrees with the record-walk oracle on the campaigns
+/// of the four catalog designs: same heatmap statements, suspiciousness
+/// and `F_t`/`C_t` weights within 1e-6, identical counts, and the same
+/// ranked order up to ties.
+#[test]
+fn explain_tallies_match_record_walk_on_catalog_campaigns() {
+    let model = VeriBugModel::new(ModelConfig::default());
+    let budget = BugBudget {
+        negation: 2,
+        operation: 2,
+        misuse: 2,
+    };
+    let mut compared = 0;
+    for (i, d) in designs::catalog().iter().enumerate() {
+        let module = d.module().expect("design parses");
+        let target = d.targets[0];
+        let mutants = Campaign::new(0xE7A1 + i as u64)
+            .run(&module, target, &budget)
+            .expect("campaign runs");
+        compared += explain_matches_oracle(d.name, &model, &mutants, target);
+    }
+    assert!(compared >= 8, "only {compared} observable catalog mutants");
+}
+
+/// The same agreement on 16 RVDG designs, each localized against its
+/// first output port.
+#[test]
+fn explain_tallies_match_record_walk_on_rvdg_designs() {
+    let model = VeriBugModel::new(ModelConfig::default());
+    let budget = BugBudget {
+        negation: 1,
+        operation: 1,
+        misuse: 1,
+    };
+    let corpus = Generator::new(RvdgConfig::default(), 0xE7A1_0016)
+        .generate_corpus(16)
+        .expect("rvdg corpus generates");
+    let mut compared = 0;
+    for d in &corpus {
+        let target = d
+            .module
+            .ports
+            .iter()
+            .find(|p| p.dir == verilog::PortDir::Output)
+            .expect("rvdg designs have outputs")
+            .name
+            .clone();
+        let mutants = Campaign::new(d.seed)
+            .run(&d.module, &target, &budget)
+            .expect("campaign runs");
+        compared +=
+            explain_matches_oracle(&format!("rvdg seed {}", d.seed), &model, &mutants, &target);
+    }
+    assert!(compared >= 8, "only {compared} observable rvdg mutants");
+}
+
+/// Inference through cached operand contexts is bit-identical to the tape
+/// `forward` on every statement of the catalog designs.
+#[test]
+fn cached_context_predict_is_bit_identical_to_tape_forward() {
+    let model = VeriBugModel::new(ModelConfig::default());
+    let mut g = neuro::Graph::new();
+    for d in designs::catalog() {
+        let module = d.module().expect("design parses");
+        for f in veribug::features::StatementFeatures::extract_all(&module).values() {
+            let contexts = model.operand_contexts(f);
+            for salt in 0..3 {
+                let values: Vec<bool> = (0..f.operand_count())
+                    .map(|j| (j * 7 + salt) % 3 == 0)
+                    .collect();
+                let (class, att) = model.predict_from(&mut g, &contexts, &values);
+                let mut tape = neuro::Graph::new();
+                let fwd = model.forward(
+                    &mut tape,
+                    f,
+                    &veribug::Sample {
+                        values: values.clone(),
+                        target: false,
+                    },
+                );
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&att), bits(&fwd.attention), "{} {}", d.name, f.stmt);
+                assert_eq!(class, tape.value(fwd.logits).argmax_row() == 1);
+            }
+        }
+    }
+}
+
+/// A statement reading more operands than a 64-bit key holds is explained
+/// exactly (spilled keys), identically through both paths.
+#[test]
+fn statement_with_more_than_64_operands_is_explained_exactly() {
+    const OPERANDS: usize = 66;
+    // A balanced XOR tree keeps leaf-to-leaf paths short.
+    fn tree(names: &[String]) -> String {
+        match names {
+            [one] => one.clone(),
+            _ => {
+                let (l, r) = names.split_at(names.len() / 2);
+                format!("({} ^ {})", tree(l), tree(r))
+            }
+        }
+    }
+    let names: Vec<String> = (0..OPERANDS).map(|i| format!("a{i}")).collect();
+    let ports: Vec<String> = names.iter().map(|n| format!("input {n}")).collect();
+    let src = format!(
+        "module wide({}, output y);\nassign y = {};\nendmodule",
+        ports.join(", "),
+        tree(&names)
+    );
+    let module = verilog::parse(&src).expect("parses").top().clone();
+    let features = veribug::features::StatementFeatures::extract_all(&module);
+    assert!(features.values().any(|f| f.operand_count() > 64));
+
+    let model = VeriBugModel::new(ModelConfig::default());
+    let mut sim = Simulator::new(&module).expect("elaborates");
+    let stimuli = TestbenchGen::new(0x64).generate_many(sim.netlist(), 3, 2);
+    let traces: Vec<Trace> = stimuli
+        .iter()
+        .map(|s| sim.run(s).expect("simulates"))
+        .collect();
+    let runs = vec![
+        veribug::explain::LabelledTrace::new(sim::TraceLabel::Correct, &traces[0]),
+        veribug::explain::LabelledTrace {
+            trace: &traces[1],
+            label: sim::TraceLabel::Failing,
+            failure_cycles: vec![1],
+        },
+    ];
+    let mut ex = veribug::Explainer::new(&model, &module, "y");
+    let mut oracle = walk_oracle::Oracle::new(&model, &module, "y");
+    let (h, f, c) = ex.explain(&runs, veribug::DEFAULT_THRESHOLD);
+    let (oh, of, oc) = oracle.explain(&runs, veribug::DEFAULT_THRESHOLD);
+    assert!(
+        !f.is_empty() && !c.is_empty(),
+        "the wide statement was explained"
+    );
+    assert_maps_close("wide F_t", &f, &of);
+    assert_maps_close("wide C_t", &c, &oc);
+    assert_heatmaps_close("wide", &h, &oh);
+    // Every execution of the correct run is counted once.
+    let tally = ex.tally(&runs[0]);
+    let oracle_map = oracle.attention_map_filtered(&[&traces[0]], |_, _| true);
+    let executions: u32 = tally.correct.iter().map(|(_, n)| n).sum();
+    assert_eq!(
+        executions as usize,
+        oracle_map.per_stmt.values().map(|a| a.count).sum::<usize>()
+    );
 }

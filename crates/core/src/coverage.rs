@@ -4,7 +4,7 @@
 //! heatmap `H_t` lands on the statement containing the root cause. Coverage
 //! for a design/target pair is `localized / observable`.
 
-use crate::explain::{Explainer, Heatmap, LabelledTrace, DEFAULT_THRESHOLD};
+use crate::explain::{Explainer, Heatmap, LabelledTrace, RunTally, DEFAULT_THRESHOLD};
 use crate::model::VeriBugModel;
 use mutate::{Mutant, MutationKind};
 use sim::TraceLabel;
@@ -131,23 +131,31 @@ pub fn grouped_heatmap(
     threshold: f32,
     groups: usize,
 ) -> Heatmap {
-    let groups = groups.max(1).min(runs.len().max(1));
+    let tallies = explainer.tally_all(runs);
+    grouped_tally_heatmap(explainer, &tallies, threshold, groups)
+}
+
+/// [`grouped_heatmap`] over runs already tallied by
+/// [`Explainer::tally_all`], so callers that also need other maps of the
+/// same runs walk each trace once.
+pub(crate) fn grouped_tally_heatmap(
+    explainer: &mut Explainer<'_>,
+    tallies: &[RunTally],
+    threshold: f32,
+    groups: usize,
+) -> Heatmap {
+    let groups = groups.max(1).min(tallies.len().max(1));
     let mut combined = Heatmap {
         entries: Default::default(),
         threshold,
     };
     for g in 0..groups {
-        let subset: Vec<LabelledTrace<'_>> = runs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % groups == g)
-            .map(|(_, r)| r.clone())
-            .collect();
+        let subset: Vec<&RunTally> = tallies.iter().skip(g).step_by(groups).collect();
         // A group with no failing runs carries no localization signal.
-        if !subset.iter().any(|r| r.label == sim::TraceLabel::Failing) {
+        if !subset.iter().any(|t| t.label == TraceLabel::Failing) {
             continue;
         }
-        let (heatmap, _, _) = explainer.explain(&subset, threshold);
+        let (heatmap, _, _) = explainer.explain_tallies(&subset, threshold);
         for (stmt, entry) in heatmap.entries {
             match combined.entries.get_mut(&stmt) {
                 None => {

@@ -1,12 +1,13 @@
 //! Explanation generation (paper Sec. IV-D): attention maps, aggregated
 //! maps `F_t`/`C_t`, suspiciousness scores, and the final heatmap `H_t`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::features::StatementFeatures;
-use crate::model::VeriBugModel;
-use crate::train::{operand_positions, operand_values};
+use crate::model::{OperandContexts, VeriBugModel};
+use crate::train::operand_positions;
 use cdfg::{Cdfg, ConeOfInfluence, Slice, Vdg};
+use neuro::Graph;
 use sim::{Trace, TraceLabel};
 use verilog::{Module, StmtId};
 
@@ -137,26 +138,111 @@ impl Heatmap {
     }
 }
 
+/// Version of the explanation algorithm. Bump it whenever a change can
+/// move any attention weight or ranking, so stored results keyed by it
+/// (the `accuracy_bench` artifact-store replay) are recomputed instead of
+/// replayed. Version 2: per-run tallies with f64 count-weighted means.
+pub const ALGORITHM_VERSION: u32 = 2;
+
+/// The operand truth bits of one execution: bit `j` is operand `j` of the
+/// statement's features. Ordered so tallies sort deterministically.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum OperandBits {
+    /// Statements with at most 64 operands (all but pathological ones).
+    Narrow(u64),
+    /// Wider statements: one word per 64 operands, spilled to the heap.
+    Wide(Box<[u64]>),
+}
+
+impl OperandBits {
+    /// The first `n` bits as operand truth values.
+    fn values(&self, n: usize) -> Vec<bool> {
+        let words = match self {
+            OperandBits::Narrow(w) => std::slice::from_ref(w),
+            OperandBits::Wide(ws) => ws,
+        };
+        (0..n).map(|j| words[j / 64] >> (j % 64) & 1 == 1).collect()
+    }
+}
+
+/// A statement execution class key: which statement ran, with which
+/// operand values.
+pub type ExecKey = (StmtId, OperandBits);
+
+/// One labelled run's explainable executions, counted once: sorted
+/// `(key, n)` entries per class, keys unique within a class.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunTally {
+    /// The run's label.
+    pub label: TraceLabel,
+    /// Failure-relevant executions (contribute to `F_t`).
+    pub failing: Vec<(ExecKey, u32)>,
+    /// Correct-behaviour executions (contribute to `C_t`).
+    pub correct: Vec<(ExecKey, u32)>,
+}
+
+/// Which map an execution feeds, if any.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Failing,
+    Correct,
+}
+
+/// What the explainer resolved once about one explainable statement.
+#[derive(Debug)]
+struct Slot {
+    features: StatementFeatures,
+    /// Record read-order position of each feature operand.
+    positions: Vec<usize>,
+    /// Sequential depth δ: the minimum number of clock cycles for a
+    /// change at the statement's defined signal to reach the target (from
+    /// the cone-of-influence analysis), plus one for non-blocking commits.
+    /// A buggy execution at depth δ symptomatizes δ cycles later, so
+    /// failing-run classification aligns each statement's window by its
+    /// own δ.
+    depth: u32,
+    /// The model's operand contexts, computed on first prediction.
+    contexts: Option<OperandContexts>,
+}
+
+impl Slot {
+    /// Packs the recorded operand truth values; `None` when an operand
+    /// was not recorded.
+    fn bits(&self, exec: &sim::StmtExec) -> Option<OperandBits> {
+        if self.positions.len() <= 64 {
+            let mut word = 0u64;
+            for (j, &p) in self.positions.iter().enumerate() {
+                word |= u64::from(exec.operand(p)?.is_truthy()) << j;
+            }
+            Some(OperandBits::Narrow(word))
+        } else {
+            let mut words = vec![0u64; self.positions.len().div_ceil(64)];
+            for (j, &p) in self.positions.iter().enumerate() {
+                words[j / 64] |= u64::from(exec.operand(p)?.is_truthy()) << (j % 64);
+            }
+            Some(OperandBits::Wide(words.into_boxed_slice()))
+        }
+    }
+}
+
 /// The Explainer: a trained model applied to labelled traces of one design.
+///
+/// Attention depends only on (statement, operand truth values), so each
+/// labelled run is walked once into a [`RunTally`], maps are built by
+/// summing tallies, and the model runs once per distinct key.
 #[derive(Debug)]
 pub struct Explainer<'m> {
     model: &'m VeriBugModel,
-    features: BTreeMap<StmtId, StatementFeatures>,
     slice: Slice,
     failure_window: u32,
-    /// Sequential depth of each slice statement: the minimum number of
-    /// clock cycles for a change at its defined signal to reach the target
-    /// (from the cone-of-influence analysis). A buggy execution of a
-    /// statement at depth δ symptomatizes δ cycles later, so failing-trace
-    /// aggregation aligns each statement's window by its own δ.
-    depth: BTreeMap<StmtId, u32>,
-    /// Memoized attention per (statement, operand values): executions of
-    /// the same statement with the same values always produce the same
-    /// weights, and traces repeat them constantly.
-    cache: HashMap<(StmtId, Vec<bool>), Vec<f32>>,
-    /// Per-statement map from feature-operand index to record read-order
-    /// position (execution records store operand values positionally).
-    positions: BTreeMap<StmtId, Vec<Option<usize>>>,
+    /// Dense table indexed by `StmtId.0`: `Some` for every slice
+    /// statement whose executions can be explained (it has features and
+    /// every feature operand is recorded).
+    slots: Vec<Option<Slot>>,
+    /// Attention per distinct execution key.
+    weights: BTreeMap<ExecKey, Vec<f32>>,
+    /// Reused inference tape.
+    graph: Graph,
 }
 
 impl<'m> Explainer<'m> {
@@ -182,26 +268,41 @@ impl<'m> Explainer<'m> {
             let commit_delay = u32::from(node.kind == verilog::AssignKind::NonBlocking);
             depth.insert(node.stmt, signal_depth + commit_delay);
         }
-        let features = StatementFeatures::extract_all(module);
         // Records carry positional operand values; resolve each feature
         // operand's position once, against the same elaboration the
         // simulator records under. Designs that fail to elaborate produce
-        // no traces, so an empty map is fine there.
-        let positions = match sim::Netlist::elaborate(module) {
-            Ok(netlist) => features
-                .iter()
-                .map(|(id, f)| (*id, operand_positions(f, &netlist)))
-                .collect(),
-            Err(_) => BTreeMap::new(),
-        };
+        // no traces, so an empty table is fine there.
+        let mut slots: Vec<Option<Slot>> = Vec::new();
+        if let Ok(netlist) = sim::Netlist::elaborate(module) {
+            for (id, features) in StatementFeatures::extract_all(module) {
+                if !slice.contains(id) {
+                    continue;
+                }
+                let Some(positions) = operand_positions(&features, &netlist)
+                    .into_iter()
+                    .collect::<Option<Vec<usize>>>()
+                else {
+                    continue;
+                };
+                let index = id.0 as usize;
+                if slots.len() <= index {
+                    slots.resize_with(index + 1, || None);
+                }
+                slots[index] = Some(Slot {
+                    features,
+                    positions,
+                    depth: depth.get(&id).copied().unwrap_or(0),
+                    contexts: None,
+                });
+            }
+        }
         Explainer {
             model,
-            features,
             slice,
             failure_window: DEFAULT_FAILURE_WINDOW,
-            depth,
-            cache: HashMap::new(),
-            positions,
+            slots,
+            weights: BTreeMap::new(),
+            graph: Graph::new(),
         }
     }
 
@@ -217,92 +318,78 @@ impl<'m> Explainer<'m> {
         &self.slice
     }
 
-    /// Aggregates attention over every execution (within the target's
-    /// dynamic slice) across `traces`, producing one attention map.
-    pub fn attention_map(&mut self, traces: &[&Trace]) -> AttentionMap {
-        self.attention_map_filtered(traces, |_, _| true)
-    }
-
-    /// Like [`Explainer::attention_map`], keeping only executions for
-    /// which `keep(statement, cycle)` holds.
-    pub fn attention_map_filtered(
-        &mut self,
-        traces: &[&Trace],
-        keep: impl Fn(StmtId, u32) -> bool,
-    ) -> AttentionMap {
-        struct Acc {
-            operands: Vec<String>,
-            sums: Vec<f32>,
-            count: usize,
-        }
-        let mut acc: BTreeMap<StmtId, Acc> = BTreeMap::new();
-        for trace in traces {
-            for cyc in &trace.cycles {
-                for exec in &cyc.execs {
-                    // Dynamic slice: executed AND in the static slice of t.
-                    if !self.slice.contains(exec.stmt) || !keep(exec.stmt, cyc.cycle) {
-                        continue;
-                    }
-                    let Some(f) = self.features.get(&exec.stmt) else {
-                        continue;
-                    };
-                    let Some(values) = self
-                        .positions
-                        .get(&exec.stmt)
-                        .and_then(|p| operand_values(p, exec))
-                    else {
-                        continue;
-                    };
-                    static CACHE_HITS: obs::LazyCounter =
-                        obs::LazyCounter::new("explain.attention_cache_hits");
-                    static CACHE_MISSES: obs::LazyCounter =
-                        obs::LazyCounter::new("explain.attention_cache_misses");
-                    /// Shannon entropy (nats) of each freshly computed
-                    /// attention distribution.
-                    static ENTROPY: obs::LazyHistogram =
-                        obs::LazyHistogram::new_micros("explain.attention_entropy");
-                    let weights = match self.cache.entry((exec.stmt, values.clone())) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            CACHE_HITS.incr();
-                            e.get().clone()
+    /// Counts one labelled run's explainable executions (those within the
+    /// target's dynamic slice) by class and key, in a single walk.
+    ///
+    /// The classification, in one place:
+    ///
+    /// - **correct runs** feed `C_t` entirely;
+    /// - **failing runs without divergence cycles** feed `F_t` entirely
+    ///   (the paper's plain trace-level scheme);
+    /// - **failing runs with divergence cycles** are failure-centered:
+    ///   only executions within the failure window *before* (and
+    ///   including) a divergence, aligned by the statement's depth δ,
+    ///   feed `F_t`. A buggy execution at cycle k−δ symptomatizes at k, so
+    ///   the executions that can have caused the symptom at k lie in
+    ///   [k−δ−window, k−δ]. Executions far from every divergence carry
+    ///   correct-behavior statistics and feed `C_t` (masked cycles); the
+    ///   band in between feeds neither.
+    pub fn tally(&self, run: &LabelledTrace<'_>) -> RunTally {
+        let window = self.failure_window;
+        let (mut failing, mut correct) = (Vec::new(), Vec::new());
+        for cyc in &run.trace.cycles {
+            for exec in &cyc.execs {
+                let Some(slot) = self.slot(exec.stmt) else {
+                    continue;
+                };
+                let class = match (run.label, run.failure_cycles.is_empty()) {
+                    (TraceLabel::Correct, _) => Class::Correct,
+                    (TraceLabel::Failing, true) => Class::Failing,
+                    (TraceLabel::Failing, false) => {
+                        match classify(slot.depth, cyc.cycle, &run.failure_cycles, window) {
+                            Some(class) => class,
+                            None => continue,
                         }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            CACHE_MISSES.incr();
-                            let weights = self.model.predict(f, &values).1;
-                            if obs::enabled() {
-                                ENTROPY.record_f64(attention_entropy(&weights));
-                            }
-                            e.insert(weights).clone()
-                        }
-                    };
-                    let slot = acc.entry(exec.stmt).or_insert_with(|| Acc {
-                        operands: f.operands.iter().map(|o| o.name.clone()).collect(),
-                        sums: vec![0.0; weights.len()],
-                        count: 0,
-                    });
-                    for (s, w) in slot.sums.iter_mut().zip(&weights) {
-                        *s += w;
                     }
-                    slot.count += 1;
+                };
+                let Some(bits) = slot.bits(exec) else {
+                    continue;
+                };
+                match class {
+                    Class::Failing => failing.push((exec.stmt, bits)),
+                    Class::Correct => correct.push((exec.stmt, bits)),
                 }
             }
         }
-        AttentionMap {
-            per_stmt: acc
-                .into_iter()
-                .map(|(id, a)| {
-                    let n = a.count.max(1) as f32;
-                    (
-                        id,
-                        StmtAttention {
-                            operands: a.operands,
-                            weights: a.sums.into_iter().map(|s| s / n).collect(),
-                            count: a.count,
-                        },
-                    )
-                })
-                .collect(),
+        RunTally {
+            label: run.label,
+            failing: run_length(failing),
+            correct: run_length(correct),
         }
+    }
+
+    /// [`Explainer::tally`] for every run, in order.
+    pub(crate) fn tally_all(&self, runs: &[LabelledTrace<'_>]) -> Vec<RunTally> {
+        runs.iter().map(|r| self.tally(r)).collect()
+    }
+
+    fn slot(&self, stmt: StmtId) -> Option<&Slot> {
+        self.slots.get(stmt.0 as usize)?.as_ref()
+    }
+
+    /// Aggregates attention over every execution (within the target's
+    /// dynamic slice) across `traces`, producing one attention map.
+    pub fn attention_map(&mut self, traces: &[&Trace]) -> AttentionMap {
+        let tallies: Vec<RunTally> = traces
+            .iter()
+            .map(|t| self.tally(&LabelledTrace::new(TraceLabel::Correct, t)))
+            .collect();
+        self.correct_map(&tallies)
+    }
+
+    /// The correct-behaviour map `C_t` over every tallied run.
+    pub(crate) fn correct_map(&mut self, tallies: &[RunTally]) -> AttentionMap {
+        self.aggregate(tallies.iter().map(|t| t.correct.as_slice()))
     }
 
     /// Builds the heatmap `H_t` from failing and correct attention maps
@@ -347,109 +434,138 @@ impl<'m> Explainer<'m> {
         Heatmap { entries, threshold }
     }
 
-    /// End-to-end explanation: split labelled runs into `T_f`/`T_c`,
-    /// aggregate both maps, and produce the heatmap.
+    /// End-to-end explanation: tally the labelled runs, aggregate `F_t`
+    /// and `C_t`, and produce the heatmap.
     ///
     /// Two refinements over the plain trace-level scheme (both documented
-    /// in DESIGN.md):
+    /// in DESIGN.md and applied by [`Explainer::tally`]):
     ///
     /// - **Failure-centered aggregation.** When a failing trace carries its
     ///   divergence cycles, only executions within
     ///   [`DEFAULT_FAILURE_WINDOW`] cycles *before* (and including) a
-    ///   divergence contribute to `F_t`. Executions far from any symptom
-    ///   carry correct-behavior statistics and would dilute the comparison.
-    /// - **Masked-cycle fallback for `C_t`.** When *no* run is fully
-    ///   correct (short aggressive stimuli can expose a bug in every run),
-    ///   the correct map is built from the non-divergent cycles of the
-    ///   failing traces instead of being empty, which would otherwise mark
-    ///   every statement "only-in-failing" and destroy the ranking.
+    ///   divergence contribute to `F_t`.
+    /// - **Masked-cycle augmentation of `C_t`.** The non-divergent cycles
+    ///   of failing traces join the correct runs in `C_t`. When *no* run
+    ///   is fully correct (short aggressive stimuli can expose a bug in
+    ///   every run) this keeps `C_t` from being empty, which would
+    ///   otherwise mark every statement "only-in-failing".
     pub fn explain(
         &mut self,
         runs: &[LabelledTrace<'_>],
         threshold: f32,
     ) -> (Heatmap, AttentionMap, AttentionMap) {
-        let window = self.failure_window;
-        let failing: Vec<&LabelledTrace<'_>> = runs
-            .iter()
-            .filter(|r| r.label == TraceLabel::Failing)
-            .collect();
-        let correct: Vec<&Trace> = runs
-            .iter()
-            .filter(|r| r.label == TraceLabel::Correct)
-            .map(|r| r.trace)
-            .collect();
+        let tallies = self.tally_all(runs);
+        let refs: Vec<&RunTally> = tallies.iter().collect();
+        self.explain_tallies(&refs, threshold)
+    }
 
-        // F_t: failure-centered when divergence cycles are known. Each
-        // statement's window is aligned by its sequential depth δ: a buggy
-        // execution at cycle k−δ symptomatizes at cycle k, so the
-        // executions that can have caused the symptom at k lie in
-        // [k−δ−window, k−δ].
-        let depth = self.depth.clone();
-        let delta = move |stmt: StmtId| depth.get(&stmt).copied().unwrap_or(0);
-        let mut f_map = AttentionMap::default();
-        for run in &failing {
-            let partial = if run.failure_cycles.is_empty() {
-                self.attention_map(&[run.trace])
-            } else {
-                let cycles = run.failure_cycles.clone();
-                let delta = delta.clone();
-                self.attention_map_filtered(&[run.trace], move |stmt, c| {
-                    let d = delta(stmt);
-                    cycles.iter().any(|&k| {
-                        let hi = k.saturating_sub(d);
-                        c <= hi && hi.saturating_sub(window) <= c
-                    })
-                })
-            };
-            merge_maps(&mut f_map, &partial);
-        }
-
-        // C_t: fully-correct runs, augmented with the masked (far-from-
-        // failure) cycles of failing runs — both exhibit correct behavior,
-        // and the extra executions sharpen the comparison baseline.
-        let mut c_map = self.attention_map(&correct);
-        for run in &failing {
-            if run.failure_cycles.is_empty() {
-                continue;
-            }
-            let cycles = run.failure_cycles.clone();
-            let delta = delta.clone();
-            let partial = self.attention_map_filtered(&[run.trace], move |stmt, c| {
-                let d = delta(stmt);
-                cycles.iter().all(|&k| {
-                    let hi = k.saturating_sub(d);
-                    c + window + 1 < hi.max(1) || hi + 2 < c
-                })
-            });
-            merge_maps(&mut c_map, &partial);
-        }
-
+    /// [`Explainer::explain`] over already-tallied runs.
+    pub(crate) fn explain_tallies(
+        &mut self,
+        tallies: &[&RunTally],
+        threshold: f32,
+    ) -> (Heatmap, AttentionMap, AttentionMap) {
+        let f_map = self.aggregate(tallies.iter().map(|t| t.failing.as_slice()));
+        let c_map = self.aggregate(tallies.iter().map(|t| t.correct.as_slice()));
         let heatmap = Self::heatmap(&f_map, &c_map, threshold);
         (heatmap, f_map, c_map)
     }
+
+    /// Sums tallies into one map: per statement, Σ n·w / Σ n in f64 over
+    /// its distinct keys in sorted order, so the result does not depend on
+    /// how executions were split across runs.
+    fn aggregate<'a>(&mut self, parts: impl Iterator<Item = &'a [(ExecKey, u32)]>) -> AttentionMap {
+        let mut keys: Vec<&(ExecKey, u32)> = parts.flatten().collect();
+        keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut per_stmt = BTreeMap::new();
+        for stmt_keys in keys.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            let stmt = stmt_keys[0].0 .0;
+            let mut sums: Vec<f64> = Vec::new();
+            let mut count = 0usize;
+            for &(key, n) in stmt_keys {
+                let weights = self.weights_of(key);
+                sums.resize(weights.len(), 0.0);
+                for (s, &w) in sums.iter_mut().zip(weights) {
+                    *s += f64::from(*n) * f64::from(w);
+                }
+                count += *n as usize;
+            }
+            let operands = self.slot(stmt).map_or_else(Vec::new, |slot| {
+                slot.features
+                    .operands
+                    .iter()
+                    .map(|o| o.name.clone())
+                    .collect()
+            });
+            let total = count.max(1) as f64;
+            per_stmt.insert(
+                stmt,
+                StmtAttention {
+                    operands,
+                    weights: sums.into_iter().map(|s| (s / total) as f32).collect(),
+                    count,
+                },
+            );
+        }
+        AttentionMap { per_stmt }
+    }
+
+    /// The attention weights of one execution key, predicting (through the
+    /// statement's cached operand contexts) on first use.
+    fn weights_of(&mut self, key: &ExecKey) -> &[f32] {
+        static CACHE_HITS: obs::LazyCounter = obs::LazyCounter::new("explain.attention_cache_hits");
+        static CACHE_MISSES: obs::LazyCounter =
+            obs::LazyCounter::new("explain.attention_cache_misses");
+        /// Shannon entropy (nats) of each freshly computed attention
+        /// distribution.
+        static ENTROPY: obs::LazyHistogram =
+            obs::LazyHistogram::new_micros("explain.attention_entropy");
+        if self.weights.contains_key(key) {
+            CACHE_HITS.incr();
+        } else {
+            CACHE_MISSES.incr();
+            let model = self.model;
+            let slot = self.slots[key.0 .0 as usize]
+                .as_mut()
+                .expect("tallied statements have slots");
+            let contexts = slot
+                .contexts
+                .get_or_insert_with(|| model.operand_contexts(&slot.features));
+            let values = key.1.values(slot.positions.len());
+            let weights = model.predict_from(&mut self.graph, contexts, &values).1;
+            if obs::enabled() {
+                ENTROPY.record_f64(attention_entropy(&weights));
+            }
+            self.weights.insert(key.clone(), weights);
+        }
+        &self.weights[key]
+    }
 }
 
-/// Count-weighted merge of one attention map into another.
-fn merge_maps(into: &mut AttentionMap, from: &AttentionMap) {
-    for (id, att) in &from.per_stmt {
-        match into.per_stmt.get_mut(id) {
-            None => {
-                into.per_stmt.insert(*id, att.clone());
-            }
-            Some(cur) => {
-                let old = cur.count as f32;
-                let new = att.count as f32;
-                let total = old + new;
-                if total == 0.0 {
-                    continue;
-                }
-                for (w, nw) in cur.weights.iter_mut().zip(&att.weights) {
-                    *w = (*w * old + nw * new) / total;
-                }
-                cur.count += att.count;
-            }
+/// Classifies an execution at `cycle` of a failing run with known
+/// divergence cycles, for a statement at sequential depth `depth`.
+fn classify(depth: u32, cycle: u32, failure_cycles: &[u32], window: u32) -> Option<Class> {
+    let his = || failure_cycles.iter().map(|&k| k.saturating_sub(depth));
+    if his().any(|hi| cycle <= hi && hi.saturating_sub(window) <= cycle) {
+        Some(Class::Failing)
+    } else if his().all(|hi| cycle + window + 1 < hi.max(1) || hi + 2 < cycle) {
+        Some(Class::Correct)
+    } else {
+        None
+    }
+}
+
+/// Sorts keys and collapses equal ones into `(key, multiplicity)`.
+fn run_length(mut keys: Vec<ExecKey>) -> Vec<(ExecKey, u32)> {
+    keys.sort_unstable();
+    let mut out: Vec<(ExecKey, u32)> = Vec::new();
+    for key in keys {
+        match out.last_mut() {
+            Some((last, n)) if *last == key => *n += 1,
+            _ => out.push((key, 1)),
         }
     }
+    out
 }
 
 /// The paper's suspiciousness score: norm-1 distance between two attention
@@ -540,6 +656,50 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-4, "not a distribution: {att:?}");
             assert!(att.count > 0);
         }
+    }
+
+    #[test]
+    fn tallies_count_every_slice_execution_once() {
+        let module = arb();
+        let model = VeriBugModel::new(ModelConfig::default());
+        let mut sim = Simulator::new(&module).unwrap();
+        let stim = TestbenchGen::new(5).generate(sim.netlist(), 24);
+        let trace = sim.run(&stim).unwrap();
+        let mut ex = Explainer::new(&model, &module, "gnt1");
+        let in_slice = trace
+            .cycles
+            .iter()
+            .flat_map(|c| &c.execs)
+            .filter(|e| ex.slice().contains(e.stmt))
+            .count();
+        let tally = ex.tally(&LabelledTrace::new(TraceLabel::Correct, &trace));
+        assert!(tally.failing.is_empty());
+        let counted: u32 = tally.correct.iter().map(|(_, n)| n).sum();
+        assert_eq!(counted as usize, in_slice);
+        // Keys are sorted and unique.
+        assert!(tally.correct.windows(2).all(|w| w[0].0 < w[1].0));
+        // A failing run with no divergence cycles feeds F_t only.
+        let failing = ex.tally(&LabelledTrace::new(TraceLabel::Failing, &trace));
+        assert_eq!(failing.failing, tally.correct);
+        assert!(failing.correct.is_empty());
+        // The map's counts are the tally's.
+        let map = ex.attention_map(&[&trace]);
+        let total: usize = map.per_stmt.values().map(|a| a.count).sum();
+        assert_eq!(total, in_slice);
+    }
+
+    #[test]
+    fn classification_windows_are_depth_aligned() {
+        // Divergence at cycle 10, window 1, statement depth 2: executions
+        // at cycles 7..=8 caused it; 5 and below or 13 and above are far.
+        let class = |c| classify(2, c, &[10], 1);
+        assert!(class(6).is_none());
+        assert!(class(7) == Some(Class::Failing) && class(8) == Some(Class::Failing));
+        assert!(class(9).is_none() && class(10).is_none());
+        assert!(class(5) == Some(Class::Correct) && class(11) == Some(Class::Correct));
+        // Far from one divergence is not enough: every divergence counts.
+        assert!(class(16) == Some(Class::Correct));
+        assert!(classify(2, 16, &[10, 20], 1).is_none());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! the differential suite in `crates/bench/tests/differential.rs` proves
 //! it.
 
-use crate::coverage::{grouped_heatmap, DEFAULT_RUN_GROUPS};
+use crate::coverage::{grouped_tally_heatmap, DEFAULT_RUN_GROUPS};
 use crate::explain::{AttentionMap, Heatmap, LabelledTrace};
 use crate::model::VeriBugModel;
 use crate::{Explainer, VeriBugError, DEFAULT_THRESHOLD};
@@ -38,7 +38,8 @@ pub struct LocalizeOptions {
     pub cycles: usize,
     /// Attention threshold for heatmap admission.
     pub threshold: f32,
-    /// Independent run groups max-pooled by [`grouped_heatmap`].
+    /// Independent run groups max-pooled by
+    /// [`crate::coverage::grouped_heatmap`].
     pub run_groups: usize,
     /// Seed of the stimulus generator.
     pub stim_seed: u64,
@@ -239,9 +240,12 @@ fn localize_inner(
         .collect();
     let _explain_span = obs::span("explain");
     let mut explainer = Explainer::new(model, buggy, target);
-    report.heatmap = grouped_heatmap(&mut explainer, &runs_view, opts.threshold, opts.run_groups);
-    let (_, _, c_map) = explainer.explain(&runs_view, opts.threshold);
-    report.correct_map = c_map;
+    // One walk per run; the grouped heatmap and the full-set correct map
+    // are both sums of these tallies.
+    let tallies = explainer.tally_all(&runs_view);
+    report.heatmap =
+        grouped_tally_heatmap(&mut explainer, &tallies, opts.threshold, opts.run_groups);
+    report.correct_map = explainer.correct_map(&tallies);
     report.suspects = report
         .heatmap
         .ranked()

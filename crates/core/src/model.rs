@@ -20,7 +20,7 @@ use verilog::NodeKind;
 
 use crate::features::StatementFeatures;
 
-/// Model evaluations served through [`VeriBugModel::predict_with`].
+/// Model evaluations served through [`VeriBugModel::predict_from`].
 static EVALS: obs::LazyCounter = obs::LazyCounter::new("model.evals");
 /// Absolute logit margin `|l_1 - l_0|` per evaluation — a confidence
 /// proxy: small margins mean the output-bit classes are nearly tied.
@@ -94,6 +94,20 @@ pub struct Forward {
     /// The stacked updated operand embeddings `X*` (`N×d_a`) — the paper's
     /// regularizer operates on its norm.
     pub x_star: NodeId,
+}
+
+/// The context embeddings `c_i` of one statement's operands. They depend
+/// only on the statement's AST paths, never on operand values, so one
+/// computation serves every execution of the statement.
+#[derive(Debug, Clone)]
+pub struct OperandContexts {
+    stmt: verilog::StmtId,
+    contexts: Vec<Tensor>,
+}
+
+/// Panics unless one value is supplied per operand.
+fn check_aligned(stmt: impl std::fmt::Display, operands: usize, values: &[bool]) {
+    assert_eq!(operands, values.len(), "operand/value mismatch for {stmt}");
 }
 
 /// The VeriBug model: persistent parameters plus forward-pass logic.
@@ -175,44 +189,64 @@ impl VeriBugModel {
         self.params.value(self.epsilon).item()
     }
 
-    /// Runs one forward pass on `graph` for a statement execution.
+    /// Runs one forward pass on `graph` for a statement execution: the
+    /// operand contexts followed by the value-dependent head.
     ///
     /// # Panics
     ///
     /// Panics when `sample.values` is not aligned with `features.operands`.
     pub fn forward(&self, g: &mut Graph, features: &StatementFeatures, sample: &Sample) -> Forward {
-        assert_eq!(
-            features.operand_count(),
-            sample.values.len(),
-            "operand/value mismatch for {}",
-            features.stmt
-        );
-        // 1. Operand embeddings x_i = (c_i || v_i).
-        let mut xs: Vec<NodeId> = Vec::with_capacity(features.operand_count());
-        for (ctx, &value) in features.operands.iter().zip(&sample.values) {
-            let mut path_embs: Vec<NodeId> = Vec::with_capacity(ctx.paths.len());
-            for path in &ctx.paths {
-                let tokens: Vec<NodeId> = path
+        check_aligned(features.stmt, features.operand_count(), &sample.values);
+        let contexts = self.context_nodes(g, features);
+        self.head(g, &contexts, &sample.values)
+    }
+
+    /// The context embedding `c_i` of every operand (step 1 without the
+    /// value encoding): each path through the PathRNN, then combined.
+    fn context_nodes(&self, g: &mut Graph, features: &StatementFeatures) -> Vec<NodeId> {
+        features
+            .operands
+            .iter()
+            .map(|ctx| {
+                let path_embs: Vec<NodeId> = ctx
+                    .paths
                     .iter()
-                    .map(|k| self.token_emb.lookup(g, &self.params, k.index()))
+                    .map(|path| {
+                        let tokens: Vec<NodeId> = path
+                            .iter()
+                            .map(|k| self.token_emb.lookup(g, &self.params, k.index()))
+                            .collect();
+                        self.path_rnn.run(g, &self.params, &tokens)
+                    })
                     .collect();
-                path_embs.push(self.path_rnn.run(g, &self.params, &tokens));
-            }
-            let c_i = match path_embs.len() {
-                0 => g.input(Tensor::zeros(1, self.config.context_dim)),
-                1 => path_embs[0],
-                n => {
-                    let stacked = g.concat_rows(&path_embs);
-                    let summed = g.sum_rows(stacked);
-                    match self.config.context_aggregation {
-                        ContextAggregation::Sum => summed,
-                        ContextAggregation::Mean => g.scale(summed, 1.0 / n as f32),
+                match path_embs.len() {
+                    0 => g.input(Tensor::zeros(1, self.config.context_dim)),
+                    1 => path_embs[0],
+                    n => {
+                        let stacked = g.concat_rows(&path_embs);
+                        let summed = g.sum_rows(stacked);
+                        match self.config.context_aggregation {
+                            ContextAggregation::Sum => summed,
+                            ContextAggregation::Mean => g.scale(summed, 1.0 / n as f32),
+                        }
                     }
                 }
-            };
-            let v_i = g.input(Tensor::one_hot(self.config.value_dim, usize::from(value)));
-            xs.push(g.concat_cols(&[c_i, v_i]));
-        }
+            })
+            .collect()
+    }
+
+    /// The value-dependent head over precomputed operand contexts: value
+    /// encoding, aggregation, attention and prediction (steps 1–4).
+    fn head(&self, g: &mut Graph, contexts: &[NodeId], values: &[bool]) -> Forward {
+        // 1. Operand embeddings x_i = (c_i || v_i).
+        let xs: Vec<NodeId> = contexts
+            .iter()
+            .zip(values)
+            .map(|(&c_i, &value)| {
+                let v_i = g.input(Tensor::one_hot(self.config.value_dim, usize::from(value)));
+                g.concat_cols(&[c_i, v_i])
+            })
+            .collect();
 
         // 2. Aggregation layer: x*_i = MLP_θ1(Σ_j x_j + ε·x_i).
         let x_matrix = g.concat_rows(&xs); // N × (d_c + d_v)
@@ -239,6 +273,26 @@ impl VeriBugModel {
         }
     }
 
+    /// The value-independent operand contexts of a statement, for reuse
+    /// across every evaluation of it through [`VeriBugModel::predict_from`].
+    pub fn operand_contexts(&self, features: &StatementFeatures) -> OperandContexts {
+        let mut g = Graph::new();
+        self.operand_contexts_with(&mut g, features)
+    }
+
+    fn operand_contexts_with(
+        &self,
+        g: &mut Graph,
+        features: &StatementFeatures,
+    ) -> OperandContexts {
+        g.clear();
+        let nodes = self.context_nodes(g, features);
+        OperandContexts {
+            stmt: features.stmt,
+            contexts: nodes.iter().map(|&n| g.value(n).clone()).collect(),
+        }
+    }
+
     /// Convenience inference: predicted output bit and attention weights.
     pub fn predict(&self, features: &StatementFeatures, values: &[bool]) -> (bool, Vec<f32>) {
         let mut g = Graph::new();
@@ -254,15 +308,31 @@ impl VeriBugModel {
         features: &StatementFeatures,
         values: &[bool],
     ) -> (bool, Vec<f32>) {
+        let contexts = self.operand_contexts_with(g, features);
+        self.predict_from(g, &contexts, values)
+    }
+
+    /// Inference from cached operand contexts: runs only the head, so the
+    /// PathRNN cost is paid once per statement rather than once per call.
+    /// Bit-identical to [`VeriBugModel::predict`] on the same statement.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` is not aligned with the contexts' operands.
+    pub fn predict_from(
+        &self,
+        g: &mut Graph,
+        contexts: &OperandContexts,
+        values: &[bool],
+    ) -> (bool, Vec<f32>) {
+        check_aligned(contexts.stmt, contexts.contexts.len(), values);
         g.clear();
-        let fwd = self.forward(
-            g,
-            features,
-            &Sample {
-                values: values.to_vec(),
-                target: false,
-            },
-        );
+        let nodes: Vec<NodeId> = contexts
+            .contexts
+            .iter()
+            .map(|c| g.input(c.clone()))
+            .collect();
+        let fwd = self.head(g, &nodes, values);
         EVALS.incr();
         let logits = g.value(fwd.logits);
         let class = logits.argmax_row();

@@ -78,14 +78,25 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so an unbounded `[[[…` body would overflow a
+/// server worker's stack; every document the repository writes (span
+/// trees, Chrome traces, bench reports) nests far less.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, or
+/// of the first array/object opened beyond [`MAX_DEPTH`] levels.
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -98,6 +109,8 @@ pub fn parse(src: &str) -> Result<Json, String> {
 struct Parser<'s> {
     bytes: &'s [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -126,8 +139,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
@@ -135,6 +152,13 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -369,6 +393,20 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} x").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_with_the_offending_offset() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // A body deep enough to overflow any thread stack without a limit.
+        let bomb = "[".repeat(200_000);
+        assert!(parse(&bomb).unwrap_err().contains("nesting deeper"));
     }
 
     #[test]

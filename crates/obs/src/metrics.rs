@@ -245,7 +245,9 @@ impl HistData {
     }
 
     /// Value at or below which `q` of the samples fall, estimated as the
-    /// upper bound of the containing power-of-two bucket.
+    /// upper bound of the containing power-of-two bucket and clamped to
+    /// the observed `[min, max]` (a bucket bound can lie outside it: 64
+    /// samples all equal to 64 sit in the bucket bounded by 127).
     fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -255,13 +257,14 @@ impl HistData {
         for (k, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return if k == 0 {
+                let bound = if k == 0 {
                     0
                 } else if k >= 64 {
                     u64::MAX
                 } else {
                     (1u64 << k) - 1
                 };
+                return bound.clamp(self.min, self.max);
             }
         }
         self.max
@@ -316,6 +319,35 @@ pub struct HistSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantiles_of_a_single_value_are_that_value() {
+        let mut h = HistData::default();
+        h.record(64);
+        let s = h.summary(false);
+        assert_eq!((s.p50, s.p90, s.p99), (64.0, 64.0, 64.0));
+        assert_eq!((s.min, s.max), (64.0, 64.0));
+    }
+
+    #[test]
+    fn quantiles_within_one_bucket_stay_inside_the_observed_range() {
+        // 40..=60 all land in the [32, 63] bucket; 70 would not.
+        let mut h = HistData::default();
+        for v in 40..=60u64 {
+            h.record(v);
+        }
+        let s = h.summary(false);
+        for q in [s.p50, s.p90, s.p99] {
+            assert!((40.0..=60.0).contains(&q), "quantile {q} outside [40, 60]");
+        }
+        assert_eq!(s.p99, 60.0);
+        // Micro-scaled histograms clamp the same way.
+        let mut h = HistData::default();
+        for _ in 0..5 {
+            h.record(1_386_294);
+        }
+        assert_eq!(h.summary(true).p99, 1.386294);
+    }
 
     #[test]
     fn hist_buckets_and_quantiles() {

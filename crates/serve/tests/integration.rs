@@ -176,6 +176,26 @@ fn malformed_json_is_400() {
     stop(&handle, join);
 }
 
+/// A deeply nested body used to overflow a worker's stack and abort the
+/// whole process; it must be a plain 400 that leaves the server healthy.
+#[test]
+fn deeply_nested_json_is_400_and_the_server_survives() {
+    let (handle, join) = start(ServerConfig::default());
+    let body = "[".repeat(200 * 1024);
+    for path in ["/v1/localize", "/v1/analyze"] {
+        let resp = request(handle.addr(), "POST", path, &body);
+        assert_eq!(resp.status, 400, "{path}");
+        let error = resp.json();
+        let error = error.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("bad_json"));
+        let message = error.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains("at byte 128"), "{message}");
+    }
+    let health = request(handle.addr(), "GET", "/healthz", "");
+    assert_eq!(health.status, 200);
+    stop(&handle, join);
+}
+
 #[test]
 fn verilog_parse_error_is_422_with_position() {
     let (handle, join) = start(ServerConfig::default());
